@@ -64,23 +64,6 @@ pub struct Event {
     pub is_response: bool,
 }
 
-fn payload_kind(payload: &Payload) -> (&'static str, bool) {
-    match payload {
-        Payload::Request(r) => (r.kind(), false),
-        Payload::Response(r) => (
-            match r {
-                Response::Certify(_) => "Certify",
-                Response::LocalEval(_) => "LocalEval",
-                Response::AssistantLookup(_) => "AssistantLookup",
-                Response::ShipObjects(_) => "ShipObjects",
-                Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
-                Response::BatchCertify(_) => "BatchCertify",
-            },
-            true,
-        ),
-    }
-}
-
 /// A deterministic delivery schedule: the i-th dispatched message is
 /// delayed by `base_us + slots[i mod len] * slot_us`, plus an optional
 /// straggler spike on one dispatch index. Lossless — every message is
@@ -181,14 +164,13 @@ impl Transport for TraceTransport {
     fn dispatch(&mut self, env: &Envelope, _now_us: f64) -> Option<f64> {
         let seq = self.seq;
         self.seq += 1;
-        let (kind, is_response) = payload_kind(&env.payload);
         self.events.borrow_mut().push(Event {
             seq,
             from: env.from,
             to: env.to,
             rpc: env.rpc,
-            kind,
-            is_response,
+            kind: env.payload.kind(),
+            is_response: matches!(env.payload, Payload::Response(_)),
         });
         let slot = self.schedule.slots[seq as usize % self.schedule.slots.len()];
         let mut delay = self.schedule.base_us + slot * self.schedule.slot_us;
@@ -268,9 +250,7 @@ async fn run_double_reply_site(ctx: Ctx<'_>, db: DbId) {
                 ctx.net
                     .respond(&env, 0, Response::ShipObjects(ShipReply::default()));
             }
-            Request::Certify { .. }
-            | Request::BatchCertify { .. }
-            | Request::HybridCertify { .. } => {}
+            Request::Certify { .. } => {}
         }
     }
 }
@@ -390,7 +370,9 @@ pub fn run_protocol_with_pipeline(
             &client_net,
             Site::Global,
             Site::Global,
-            Request::Certify { strategy },
+            Request::Certify {
+                plan: strategy.plan(),
+            },
             0,
             Phase::Ship,
             cfg,

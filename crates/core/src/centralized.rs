@@ -9,6 +9,7 @@
 use crate::cache::{query_fingerprint, CacheKey, CacheValue, LookupCache};
 use crate::error::ExecError;
 use crate::federation::Federation;
+use crate::localized::ExecPlan;
 use crate::materialize::CentralExtents;
 use crate::pipeline::PipelineConfig;
 use crate::result::{MaybeRow, QueryAnswer, ResultRow};
@@ -28,28 +29,8 @@ use std::sync::Arc;
 pub struct Centralized;
 
 impl ExecutionStrategy for Centralized {
-    fn name(&self) -> &'static str {
-        "CA"
-    }
-
-    fn execute(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-    ) -> Result<QueryAnswer, ExecError> {
-        centralized_execute_with(fed, query, sim, PipelineConfig::sequential(), None)
-    }
-
-    fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-        pipeline: PipelineConfig,
-        cache: Option<&RefCell<LookupCache>>,
-    ) -> Result<QueryAnswer, ExecError> {
-        centralized_execute_with(fed, query, sim, pipeline, cache)
+    fn plan(&self) -> ExecPlan {
+        ExecPlan::Centralized
     }
 }
 

@@ -83,12 +83,16 @@ pub use disjunctive::run_disjunctive;
 pub use error::ExecError;
 pub use explain::{explain, explain_with_pipeline};
 pub use federation::{ChangeCursor, ChangeRecord, Federation};
-pub use localized::{BasicLocalized, HybridLocalized, ParallelLocalized};
+pub use localized::{
+    BasicLocalized, ExecPlan, HybridLocalized, LocalizedConfig, LocalizedMode, ModePolicy,
+    ParallelLocalized,
+};
 pub use merge::LocalizedMerge;
 pub use oracle::{oracle_answer, oracle_disjunctive};
 pub use pipeline::PipelineConfig;
 pub use result::{MaybeRow, Provenance, QueryAnswer, ResultRow};
 pub use strategy::{
-    collect_catalog, refresh_catalog, run_adaptive, run_strategy, run_strategy_with_network,
-    run_strategy_with_pipeline, AdaptiveOutcome, ExecutionStrategy,
+    collect_catalog, observe_execution, plan_knobs, refresh_catalog, run_adaptive, run_strategy,
+    run_strategy_with_network, run_strategy_with_pipeline, AdaptiveOutcome, ExecutionStrategy,
+    WireMark,
 };

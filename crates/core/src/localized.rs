@@ -30,6 +30,7 @@ use crate::pipeline::PipelineConfig;
 use crate::result::QueryAnswer;
 use crate::strategy::ExecutionStrategy;
 use fedoq_object::{CmpOp, DbId, GOid, GlobalClassId, LOid, Object, Path, Truth, Value};
+use fedoq_plan::{PlanKind, RankedPlan};
 use fedoq_query::{plan_for_db, BoundQuery, PredDisposition, PredId, SitePlan};
 use fedoq_sim::{MessageToken, Phase, Simulation, Site, SystemParams};
 use fedoq_store::{
@@ -71,52 +72,14 @@ impl BasicLocalized {
 }
 
 impl ExecutionStrategy for BasicLocalized {
-    fn name(&self) -> &'static str {
-        if self.use_signatures {
-            "BL-S"
-        } else {
-            "BL"
+    fn plan(&self) -> ExecPlan {
+        ExecPlan::Localized {
+            policy: ModePolicy::Uniform(LocalizedMode::Basic),
+            config: LocalizedConfig {
+                use_signatures: self.use_signatures,
+                complete_targets: self.complete_targets,
+            },
         }
-    }
-
-    fn execute(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-    ) -> Result<QueryAnswer, ExecError> {
-        execute_localized(
-            fed,
-            query,
-            sim,
-            LocalizedMode::Basic,
-            LocalizedConfig {
-                use_signatures: self.use_signatures,
-                complete_targets: self.complete_targets,
-            },
-        )
-    }
-
-    fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-        pipeline: PipelineConfig,
-        cache: Option<&RefCell<LookupCache>>,
-    ) -> Result<QueryAnswer, ExecError> {
-        execute_localized_with(
-            fed,
-            query,
-            sim,
-            LocalizedMode::Basic,
-            LocalizedConfig {
-                use_signatures: self.use_signatures,
-                complete_targets: self.complete_targets,
-            },
-            pipeline,
-            cache,
-        )
     }
 }
 
@@ -152,52 +115,14 @@ impl ParallelLocalized {
 }
 
 impl ExecutionStrategy for ParallelLocalized {
-    fn name(&self) -> &'static str {
-        if self.use_signatures {
-            "PL-S"
-        } else {
-            "PL"
+    fn plan(&self) -> ExecPlan {
+        ExecPlan::Localized {
+            policy: ModePolicy::Uniform(LocalizedMode::Parallel),
+            config: LocalizedConfig {
+                use_signatures: self.use_signatures,
+                complete_targets: self.complete_targets,
+            },
         }
-    }
-
-    fn execute(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-    ) -> Result<QueryAnswer, ExecError> {
-        execute_localized(
-            fed,
-            query,
-            sim,
-            LocalizedMode::Parallel,
-            LocalizedConfig {
-                use_signatures: self.use_signatures,
-                complete_targets: self.complete_targets,
-            },
-        )
-    }
-
-    fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-        pipeline: PipelineConfig,
-        cache: Option<&RefCell<LookupCache>>,
-    ) -> Result<QueryAnswer, ExecError> {
-        execute_localized_with(
-            fed,
-            query,
-            sim,
-            LocalizedMode::Parallel,
-            LocalizedConfig {
-                use_signatures: self.use_signatures,
-                complete_targets: self.complete_targets,
-            },
-            pipeline,
-            cache,
-        )
     }
 }
 
@@ -233,39 +158,14 @@ impl HybridLocalized {
 }
 
 impl ExecutionStrategy for HybridLocalized {
-    fn name(&self) -> &'static str {
-        "HY"
-    }
-
-    fn execute(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-    ) -> Result<QueryAnswer, ExecError> {
-        self.execute_with(fed, query, sim, PipelineConfig::sequential(), None)
-    }
-
-    fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        sim: &mut Simulation,
-        pipeline: PipelineConfig,
-        cache: Option<&RefCell<LookupCache>>,
-    ) -> Result<QueryAnswer, ExecError> {
-        execute_localized_policy(
-            fed,
-            query,
-            sim,
-            &ModePolicy::ParallelAt(self.parallel_sites.clone()),
-            LocalizedConfig {
+    fn plan(&self) -> ExecPlan {
+        ExecPlan::Localized {
+            policy: ModePolicy::ParallelAt(self.parallel_sites.clone()),
+            config: LocalizedConfig {
                 use_signatures: self.use_signatures,
                 complete_targets: self.complete_targets,
             },
-            pipeline,
-            cache,
-        )
+        }
     }
 }
 
@@ -301,6 +201,11 @@ impl ModePolicy {
             }
         }
     }
+
+    /// Does `db` run PL's static-prefetch schedule?
+    pub fn parallel_at(&self, db: DbId) -> bool {
+        self.mode_for(db) == LocalizedMode::Parallel
+    }
 }
 
 /// Per-execution options shared by BL and PL.
@@ -310,6 +215,74 @@ pub struct LocalizedConfig {
     pub use_signatures: bool,
     /// Fetch locally-unprojectable target values from assistant objects.
     pub complete_targets: bool,
+}
+
+/// One executable plan: what every executor — the in-process
+/// strategies, the site-actor runtime, the serving frontend, and the
+/// scheduler — runs.
+///
+/// BL and PL are the same three phases in a different order (P → O → I
+/// and O → P → I), and HY chooses that order per site, so all three are
+/// one localized plan with a [`ModePolicy`]; only CA is a different
+/// mechanism.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecPlan {
+    /// CA: ship every involved extent, evaluate at the global site.
+    Centralized,
+    /// BL, PL, or HY: local evaluation and assistant checks at every
+    /// hosting site, certification at the global site.
+    Localized {
+        /// Which schedule each hosting site runs.
+        policy: ModePolicy,
+        /// Signature pruning / target completion options.
+        config: LocalizedConfig,
+    },
+}
+
+impl ExecPlan {
+    /// The executable form of the planner's ranked candidate — the one
+    /// mapping from [`PlanKind`] to a runnable plan. Hybrid sites marked
+    /// parallel run PL's schedule, every other site BL's.
+    pub fn from_ranked(plan: &RankedPlan) -> ExecPlan {
+        let policy = match plan.kind {
+            PlanKind::Centralized => return ExecPlan::Centralized,
+            PlanKind::BasicLocalized => ModePolicy::Uniform(LocalizedMode::Basic),
+            PlanKind::ParallelLocalized => ModePolicy::Uniform(LocalizedMode::Parallel),
+            PlanKind::Hybrid => ModePolicy::ParallelAt(
+                plan.modes
+                    .iter()
+                    .filter(|m| m.parallel)
+                    .map(|m| m.db)
+                    .collect(),
+            ),
+        };
+        ExecPlan::Localized {
+            policy,
+            config: LocalizedConfig::default(),
+        }
+    }
+
+    /// The plan's name in experiment output and feedback keys: `CA`,
+    /// `BL`, `PL`, `BL-S`, `PL-S` (`-S` marks signature pruning), or
+    /// `HY`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ExecPlan::Centralized => "CA",
+            ExecPlan::Localized { policy, config } => match (policy, config.use_signatures) {
+                (ModePolicy::Uniform(LocalizedMode::Basic), false) => "BL",
+                (ModePolicy::Uniform(LocalizedMode::Basic), true) => "BL-S",
+                (ModePolicy::Uniform(LocalizedMode::Parallel), false) => "PL",
+                (ModePolicy::Uniform(LocalizedMode::Parallel), true) => "PL-S",
+                (ModePolicy::ParallelAt(_), _) => "HY",
+            },
+        }
+    }
+}
+
+impl ExecutionStrategy for ExecPlan {
+    fn plan(&self) -> ExecPlan {
+        self.clone()
+    }
 }
 
 /// One local result row produced at a component database.
@@ -1607,57 +1580,15 @@ fn check_assistant(
     }
 }
 
-/// Shared orchestration of BL and PL.
-fn execute_localized(
-    fed: &Federation,
-    query: &BoundQuery,
-    sim: &mut Simulation,
-    mode: LocalizedMode,
-    config: LocalizedConfig,
-) -> Result<QueryAnswer, ExecError> {
-    execute_localized_with(
-        fed,
-        query,
-        sim,
-        mode,
-        config,
-        PipelineConfig::sequential(),
-        None,
-    )
-}
-
-/// Shared orchestration of BL and PL under an explicit pipeline: the
-/// phase-P scans run chunked, check/target batches fragment into at most
-/// `batch` probes per message, and the shared cache short-circuits
-/// repeated assistant lookups. The default pipeline without a cache
-/// reproduces the legacy sequential execution — message for message.
-#[allow(clippy::too_many_arguments)]
-fn execute_localized_with(
-    fed: &Federation,
-    query: &BoundQuery,
-    sim: &mut Simulation,
-    mode: LocalizedMode,
-    config: LocalizedConfig,
-    pipeline: PipelineConfig,
-    cache: Option<&RefCell<LookupCache>>,
-) -> Result<QueryAnswer, ExecError> {
-    execute_localized_policy(
-        fed,
-        query,
-        sim,
-        &ModePolicy::Uniform(mode),
-        config,
-        pipeline,
-        cache,
-    )
-}
-
-/// [`execute_localized_with`] generalized to a per-site [`ModePolicy`]:
-/// each hosting site runs BL's or PL's schedule independently, which is
-/// sound because the schedules only differ in *when* assistant checks go
-/// on the wire, never in what gets checked.
-#[allow(clippy::too_many_arguments)]
-fn execute_localized_policy(
+/// Shared orchestration of BL, PL, and HY under an explicit pipeline:
+/// each hosting site runs BL's or PL's schedule as `policy` assigns it,
+/// which is sound because the schedules only differ in *when* assistant
+/// checks go on the wire, never in what gets checked. The phase-P scans
+/// run chunked, check/target batches fragment into at most `batch`
+/// probes per message, and the shared cache short-circuits repeated
+/// assistant lookups. The default pipeline without a cache reproduces
+/// the legacy sequential execution — message for message.
+pub(crate) fn execute_localized_policy(
     fed: &Federation,
     query: &BoundQuery,
     sim: &mut Simulation,

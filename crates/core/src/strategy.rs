@@ -1,28 +1,35 @@
 //! The execution-strategy interface and the adaptive planner loop.
 
 use crate::cache::{query_fingerprint, LookupCache};
-use crate::centralized::Centralized;
+use crate::centralized::centralized_execute_with;
 use crate::error::ExecError;
 use crate::federation::Federation;
-use crate::localized::{BasicLocalized, HybridLocalized, ParallelLocalized};
+use crate::localized::{execute_localized_policy, ExecPlan};
 use crate::pipeline::PipelineConfig;
 use crate::result::QueryAnswer;
 use fedoq_plan::{choose, PipelineKnobs, PlanChoice, PlanKind, StatsCatalog};
 use fedoq_query::BoundQuery;
-use fedoq_sim::{NetworkModel, QueryMetrics, Resource, Simulation, SystemParams};
+use fedoq_sim::{NetworkModel, QueryMetrics, Resource, SimTime, Simulation, SystemParams};
 use std::cell::RefCell;
 
 /// A query execution strategy for global queries over missing data.
 ///
-/// Implementations execute the query for real over the federation's data
-/// while charging every comparison, disk byte, and network byte to the
-/// [`Simulation`] — the answer is exact, and the metrics reflect the work
-/// the strategy actually performed.
+/// A strategy only says which [`ExecPlan`] it stands for; executing the
+/// plan is shared. Every execution runs the query for real over the
+/// federation's data while charging every comparison, disk byte, and
+/// network byte to the [`Simulation`] — the answer is exact, and the
+/// metrics reflect the work the strategy actually performed.
 pub trait ExecutionStrategy {
-    /// Short name used in experiment output (`"CA"`, `"BL"`, `"PL"`, …).
-    fn name(&self) -> &'static str;
+    /// The executable plan this strategy runs.
+    fn plan(&self) -> ExecPlan;
 
-    /// Executes `query` over `fed`, narrating costs to `sim`.
+    /// Short name used in experiment output (`"CA"`, `"BL"`, `"PL"`, …).
+    fn name(&self) -> &'static str {
+        self.plan().label()
+    }
+
+    /// Executes `query` over `fed` on the sequential pipeline without a
+    /// cache, narrating costs to `sim`.
     ///
     /// # Errors
     ///
@@ -34,16 +41,16 @@ pub trait ExecutionStrategy {
         fed: &Federation,
         query: &BoundQuery,
         sim: &mut Simulation,
-    ) -> Result<QueryAnswer, ExecError>;
+    ) -> Result<QueryAnswer, ExecError> {
+        self.execute_with(fed, query, sim, PipelineConfig::sequential(), None)
+    }
 
     /// Executes `query` under an explicit [`PipelineConfig`] with an
     /// optional shared [`LookupCache`].
     ///
-    /// The pipeline tunes *how* the strategy runs — chunked parallel
-    /// scans, probe batching, cached lookups — never the answer: for any
-    /// configuration the result must equal `execute`'s. The default
-    /// implementation ignores the tuning and runs sequentially, which is
-    /// always correct; CA/BL/PL override it.
+    /// The pipeline tunes *how* the plan runs — chunked parallel scans,
+    /// probe batching, cached lookups — never the answer: for any
+    /// configuration the result equals `execute`'s.
     ///
     /// Callers owning a persistent cache must
     /// [`sync_generation`](LookupCache::sync_generation) it against
@@ -61,8 +68,12 @@ pub trait ExecutionStrategy {
         pipeline: PipelineConfig,
         cache: Option<&RefCell<LookupCache>>,
     ) -> Result<QueryAnswer, ExecError> {
-        let _ = (pipeline, cache);
-        self.execute(fed, query, sim)
+        match self.plan() {
+            ExecPlan::Centralized => centralized_execute_with(fed, query, sim, pipeline, cache),
+            ExecPlan::Localized { policy, config } => {
+                execute_localized_policy(fed, query, sim, &policy, config, pipeline, cache)
+            }
+        }
     }
 }
 
@@ -184,7 +195,7 @@ pub struct AdaptiveOutcome {
 /// Translates the pipeline configuration into the cost model's tuning
 /// knobs, reading expected cache warmth from the shared cache's observed
 /// hit rate (a cold or absent cache prices as warmth 0).
-fn plan_knobs(pipeline: PipelineConfig, cache: Option<&RefCell<LookupCache>>) -> PipelineKnobs {
+pub fn plan_knobs(pipeline: PipelineConfig, cache: Option<&RefCell<LookupCache>>) -> PipelineKnobs {
     let warmth = match (pipeline.cache, cache) {
         (true, Some(cache)) => cache.borrow().stats().hit_rate(),
         _ => 0.0,
@@ -194,6 +205,46 @@ fn plan_knobs(pipeline: PipelineConfig, cache: Option<&RefCell<LookupCache>>) ->
         warmth,
         batch: pipeline.batch as f64,
     }
+}
+
+/// The simulation's wire totals at one instant. A mark taken before an
+/// execution and the simulation after it bracket the slice of the
+/// ledger that execution charged, so a simulation shared across runs
+/// feeds back only the latest run's traffic.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WireMark {
+    net_busy: SimTime,
+    bytes: u64,
+}
+
+impl WireMark {
+    /// The wire totals `sim` has accumulated so far.
+    pub fn of(sim: &Simulation) -> WireMark {
+        WireMark {
+            net_busy: sim.ledger().total_for_resource(Resource::Net),
+            bytes: sim.bytes_transferred(),
+        }
+    }
+}
+
+/// The planner feedback after one executed plan: the measured response
+/// time for `(fingerprint, plan)`, and the link's observed price per
+/// byte over the ledger slice between `before` and `sim`'s current
+/// totals.
+pub fn observe_execution(
+    catalog: &mut StatsCatalog,
+    fingerprint: u64,
+    plan: &str,
+    response_us: f64,
+    before: WireMark,
+    sim: &Simulation,
+) {
+    catalog.observe_response(fingerprint, plan, response_us);
+    let after = WireMark::of(sim);
+    catalog.observe_net(
+        after.bytes.saturating_sub(before.bytes),
+        (after.net_busy - before.net_busy).as_micros(),
+    );
 }
 
 /// The adaptive executor: plan → run → observe.
@@ -218,38 +269,32 @@ pub fn run_adaptive(
 ) -> Result<AdaptiveOutcome, ExecError> {
     refresh_catalog(catalog, fed);
     let fingerprint = query_fingerprint(query);
-    let knobs = plan_knobs(pipeline, cache);
     let choice = choose(
         catalog,
         fed.global_schema(),
         query,
-        &knobs,
+        &plan_knobs(pipeline, cache),
         fingerprint,
         true,
     );
-    let best = choice.best();
-    let executed = best.kind;
-    let strategy: Box<dyn ExecutionStrategy> = match executed {
-        PlanKind::Centralized => Box::new(Centralized),
-        PlanKind::BasicLocalized => Box::new(BasicLocalized::new()),
-        PlanKind::ParallelLocalized => Box::new(ParallelLocalized::new()),
-        PlanKind::Hybrid => Box::new(HybridLocalized::new(
-            best.modes.iter().filter(|m| m.parallel).map(|m| m.db),
-        )),
-    };
+    let executed = choice.best().kind;
+    let plan = ExecPlan::from_ranked(choice.best());
     if let Some(cache) = cache {
         cache.borrow_mut().sync_generation(fed.generation());
     }
     let params = *catalog.params();
     let mut sim = Simulation::with_network(params, fed.num_dbs(), NetworkModel::SharedBus);
-    let answer = strategy.execute_with(fed, query, &mut sim, pipeline, cache)?;
+    let before = WireMark::of(&sim);
+    let answer = plan.execute_with(fed, query, &mut sim, pipeline, cache)?;
     let metrics = sim.metrics();
-
-    // Feedback: the measured response time for this (query, plan), and
-    // the link's observed price per byte from the simulation ledger.
-    catalog.observe_response(fingerprint, executed.label(), metrics.response_us);
-    let net_busy = sim.ledger().total_for_resource(Resource::Net).as_micros();
-    catalog.observe_net(metrics.bytes_transferred, net_busy);
+    observe_execution(
+        catalog,
+        fingerprint,
+        plan.label(),
+        metrics.response_us,
+        before,
+        &sim,
+    );
 
     Ok(AdaptiveOutcome {
         answer,
@@ -262,6 +307,7 @@ pub fn run_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BasicLocalized;
     use fedoq_object::{DbId, Value};
     use fedoq_schema::Correspondences;
     use fedoq_store::{AttrType, ClassDef, ComponentDb, ComponentSchema};

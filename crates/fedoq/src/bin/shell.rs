@@ -275,7 +275,7 @@ impl Shell {
                 None => println!("usage: load <dir>"),
             },
             Some("strategy") => match words.next() {
-                Some(name) if self.make_strategy_by(name).is_some() => {
+                Some(name) if DistributedStrategy::parse(name).is_some() => {
                     self.strategy_name = name.to_ascii_uppercase();
                     println!("strategy set to {}", self.strategy_name);
                 }
@@ -976,9 +976,7 @@ impl Shell {
             &bound,
             &knobs,
             query_fingerprint(&bound),
-            // Hybrid per-site assignments only exist in-process; the
-            // distributed runtime speaks uniform CA/BL/PL.
-            self.transport == TransportMode::Off,
+            true,
         );
         print!("{choice}");
         Ok(())
@@ -987,17 +985,10 @@ impl Shell {
     /// The cost-model knobs matching the shell's pipeline tuning, with
     /// cache warmth read from whichever cache the transport uses.
     fn plan_knobs(&self) -> fedoq::plan::PipelineKnobs {
-        let warmth = if !self.pipeline.cache {
-            0.0
-        } else if self.transport == TransportMode::Off {
-            self.local_cache.borrow().stats().hit_rate()
+        if self.transport == TransportMode::Off {
+            plan_knobs(self.pipeline, Some(&self.local_cache))
         } else {
-            self.executor.cache_stats().hit_rate()
-        };
-        fedoq::plan::PipelineKnobs {
-            threads: self.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: self.pipeline.batch as f64,
+            self.executor.knobs()
         }
     }
 
@@ -1070,15 +1061,11 @@ impl Shell {
         }
     }
 
-    fn make_strategy_by(&self, name: &str) -> Option<Box<dyn ExecutionStrategy>> {
-        match name.to_ascii_uppercase().as_str() {
-            "CA" => Some(Box::new(Centralized)),
-            "BL" => Some(Box::new(BasicLocalized::new())),
-            "PL" => Some(Box::new(ParallelLocalized::new())),
-            "BL-S" => Some(Box::new(BasicLocalized::with_signatures())),
-            "PL-S" => Some(Box::new(ParallelLocalized::with_signatures())),
-            _ => None,
-        }
+    /// The configured fixed strategy's plan.
+    fn fixed_plan(&self) -> ExecPlan {
+        DistributedStrategy::parse(&self.strategy_name)
+            .expect("configured strategy is valid")
+            .plan()
     }
 
     fn query(&mut self, sql: &str) -> Result<(), Box<dyn std::error::Error>> {
@@ -1106,12 +1093,9 @@ impl Shell {
             }
             println!("(pipeline tuning applies to conjunctive queries; running sequentially)");
         }
-        let strategy = self
-            .make_strategy_by(&self.strategy_name)
-            .expect("configured strategy is valid");
         let dnf = parse_dnf(sql)?;
         let mut sim = Simulation::new(SystemParams::paper_default(), self.fed.num_dbs());
-        let answer = run_disjunctive(strategy.as_ref(), &self.fed, &dnf, &mut sim)?;
+        let answer = run_disjunctive(&self.fixed_plan(), &self.fed, &dnf, &mut sim)?;
         for row in answer.certain() {
             println!("certain  {row}");
         }
@@ -1135,9 +1119,6 @@ impl Shell {
     /// Runs one conjunctive query in-process under the tuned pipeline,
     /// sharing the shell's persistent lookup cache across queries.
     fn query_pipelined(&mut self, query: &BoundQuery) -> Result<(), Box<dyn std::error::Error>> {
-        let strategy = self
-            .make_strategy_by(&self.strategy_name)
-            .expect("configured strategy is valid");
         if self.pipeline.cache {
             self.local_cache
                 .borrow_mut()
@@ -1145,7 +1126,9 @@ impl Shell {
         }
         let cache = self.pipeline.cache.then_some(&self.local_cache);
         let mut sim = Simulation::new(SystemParams::paper_default(), self.fed.num_dbs());
-        let answer = strategy.execute_with(&self.fed, query, &mut sim, self.pipeline, cache)?;
+        let answer =
+            self.fixed_plan()
+                .execute_with(&self.fed, query, &mut sim, self.pipeline, cache)?;
         for row in answer.certain() {
             println!("certain  {row}");
         }

@@ -66,10 +66,11 @@ pub use fedoq_workload as workload;
 pub mod prelude {
     pub use fedoq_core::{
         collect_catalog, explain, explain_with_pipeline, oracle_answer, oracle_disjunctive,
-        query_fingerprint, refresh_catalog, run_adaptive, run_disjunctive, run_strategy,
-        run_strategy_with_network, run_strategy_with_pipeline, AdaptiveOutcome, BasicLocalized,
-        CacheStats, Centralized, ExecError, ExecutionStrategy, Federation, HybridLocalized,
-        LookupCache, MaybeRow, ParallelLocalized, PipelineConfig, QueryAnswer, ResultRow,
+        plan_knobs, query_fingerprint, refresh_catalog, run_adaptive, run_disjunctive,
+        run_strategy, run_strategy_with_network, run_strategy_with_pipeline, AdaptiveOutcome,
+        BasicLocalized, CacheStats, Centralized, ExecError, ExecPlan, ExecutionStrategy,
+        Federation, HybridLocalized, LookupCache, MaybeRow, ModePolicy, ParallelLocalized,
+        PipelineConfig, QueryAnswer, ResultRow,
     };
     pub use fedoq_live::{LiveEvent, LiveReactor, LiveStrategy, SubId};
     pub use fedoq_net::{

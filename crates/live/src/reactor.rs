@@ -30,9 +30,8 @@
 use crate::delta::{diff, Delta, LiveEvent, Resolution, Trigger};
 use crate::trace::LiveTraceEvent;
 use fedoq_core::{
-    annotate_conditions, run_strategy, BasicLocalized, Centralized, ChangeCursor, ChangeRecord,
-    ConditionedAnswer, ExecError, ExecutionStrategy, Federation, HybridLocalized,
-    ParallelLocalized,
+    annotate_conditions, run_strategy, ChangeCursor, ChangeRecord, ConditionedAnswer, ExecError,
+    ExecPlan, Federation, LocalizedConfig, LocalizedMode, ModePolicy,
 };
 use fedoq_object::{DbId, GlobalClassId};
 use fedoq_query::BoundQuery;
@@ -114,19 +113,24 @@ impl LiveStrategy {
         ]
     }
 
-    fn instantiate(&self, fed: &Federation) -> Box<dyn ExecutionStrategy> {
-        match self {
-            LiveStrategy::CA => Box::new(Centralized),
-            LiveStrategy::BL => Box::new(BasicLocalized::new()),
-            LiveStrategy::PL => Box::new(ParallelLocalized::new()),
+    fn plan(&self, fed: &Federation) -> ExecPlan {
+        let policy = match self {
+            LiveStrategy::CA => return ExecPlan::Centralized,
+            LiveStrategy::BL => ModePolicy::Uniform(LocalizedMode::Basic),
+            LiveStrategy::PL => ModePolicy::Uniform(LocalizedMode::Parallel),
             // A deterministic site split so the hybrid genuinely mixes
             // both schedules regardless of federation shape.
-            LiveStrategy::HY => Box::new(HybridLocalized::new(
+            LiveStrategy::HY => ModePolicy::ParallelAt(
                 fed.dbs()
                     .iter()
                     .map(fedoq_store::ComponentDb::id)
-                    .filter(|d| d.index() % 2 == 0),
-            )),
+                    .filter(|d| d.index() % 2 == 0)
+                    .collect(),
+            ),
+        };
+        ExecPlan::Localized {
+            policy,
+            config: LocalizedConfig::default(),
         }
     }
 }
@@ -157,8 +161,7 @@ pub fn evaluate(
     params: SystemParams,
     down: &BTreeSet<DbId>,
 ) -> Result<ConditionedAnswer, ExecError> {
-    let executor = strategy.instantiate(fed);
-    let (answer, _) = run_strategy(executor.as_ref(), fed, query, params)?;
+    let (answer, _) = run_strategy(&strategy.plan(fed), fed, query, params)?;
     Ok(annotate_conditions(fed, query, &answer).with_degraded_sites(down))
 }
 

@@ -30,7 +30,6 @@
 //! paper's cost model cannot show — localization buys availability, not
 //! just response time.
 
-use crate::exec::DistributedStrategy;
 use crate::msg::{
     CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
@@ -44,7 +43,9 @@ use fedoq_core::handlers::{
     target_reply_message_bytes, CheckRequest, CheckVerdict, LocalizedConfig, LocalizedMerge,
     LocalizedMode, TargetRequest,
 };
-use fedoq_core::{query_fingerprint, ExecError, Federation, LookupCache, PipelineConfig};
+use fedoq_core::{
+    query_fingerprint, ExecError, ExecPlan, Federation, LookupCache, ModePolicy, PipelineConfig,
+};
 use fedoq_object::{DbId, LOid, Value};
 use fedoq_query::{plan_for_db, BoundQuery, PredId};
 use fedoq_sim::{Phase, Simulation, Site};
@@ -208,7 +209,7 @@ pub async fn serve_site_request<'a>(ctx: Ctx<'a>, db: DbId, env: Envelope) {
                 .respond(&env, bytes, Response::ShipObjects(ShipReply { bytes }));
         }
         // Certification is the global actor's job; ignore it here.
-        Request::Certify { .. } | Request::BatchCertify { .. } | Request::HybridCertify { .. } => {}
+        Request::Certify { .. } => {}
     }
 }
 
@@ -542,35 +543,8 @@ async fn batched_peer_lookup(
     result
 }
 
-/// Which localized schedule each hosting site runs.
-///
-/// The paper's BL and PL assign one schedule to every site; the per-site
-/// hybrid (`HY`) lets the planner assign each site its own. Execution is
-/// identical plumbing either way — the schedule only decides each site's
-/// `LocalEval` `parallel` flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SiteSchedule {
-    /// Every hosting site runs the same schedule (`false` = BL's,
-    /// `true` = PL's).
-    Uniform(bool),
-    /// The listed sites run PL's schedule; every other hosting site runs
-    /// BL's.
-    ParallelAt(Vec<DbId>),
-}
-
-impl SiteSchedule {
-    /// Does `db` run PL's static-prefetch schedule?
-    pub fn parallel_at(&self, db: DbId) -> bool {
-        match self {
-            SiteSchedule::Uniform(parallel) => *parallel,
-            SiteSchedule::ParallelAt(sites) => sites.contains(&db),
-        }
-    }
-}
-
-/// Event loop of the global site: serves `Certify`, `HybridCertify`, and
-/// `BatchCertify` requests by orchestrating the chosen plan over the
-/// component actors.
+/// Event loop of the global site: serves `Certify` requests by
+/// orchestrating the requested plan over the component actors.
 ///
 /// Each certification request is spawned as its own task, so several
 /// in-flight queries (the concurrent scheduler's normal regime) make
@@ -590,45 +564,16 @@ pub async fn run_global(ctx: Ctx<'_>) {
 /// response. Factored out of [`run_global`] so each certification can run
 /// as its own task.
 async fn serve_global_request<'a>(ctx: Ctx<'a>, env: Envelope) {
-    let Payload::Request(ref request) = env.payload else {
+    let Payload::Request(Request::Certify { ref plan }) = env.payload else {
         return;
     };
-    match request.clone() {
-        Request::Certify { strategy } => {
-            let reply = orchestrate(&ctx, strategy).await;
-            ctx.net.respond(&env, 0, Response::Certify(Box::new(reply)));
+    let reply = match plan {
+        ExecPlan::Centralized => orchestrate_centralized(&ctx).await,
+        ExecPlan::Localized { policy, config } => {
+            orchestrate_localized(&ctx, policy, *config).await
         }
-        Request::HybridCertify {
-            parallel_sites,
-            config,
-        } => {
-            let schedule = SiteSchedule::ParallelAt(parallel_sites);
-            let reply = orchestrate_localized(&ctx, &schedule, config).await;
-            ctx.net.respond(&env, 0, Response::Certify(Box::new(reply)));
-        }
-        // Coalesced executions: one round-trip, answered in order.
-        Request::BatchCertify { strategies } => {
-            let mut replies = Vec::with_capacity(strategies.len());
-            for strategy in strategies {
-                replies.push(orchestrate(&ctx, strategy).await);
-            }
-            ctx.net.respond(&env, 0, Response::BatchCertify(replies));
-        }
-        _ => {}
-    }
-}
-
-/// Runs one query end to end over the component actors.
-async fn orchestrate(ctx: &Ctx<'_>, strategy: DistributedStrategy) -> CertifyReply {
-    match strategy {
-        DistributedStrategy::Centralized => orchestrate_centralized(ctx).await,
-        DistributedStrategy::BasicLocalized(config) => {
-            orchestrate_localized(ctx, &SiteSchedule::Uniform(false), config).await
-        }
-        DistributedStrategy::ParallelLocalized(config) => {
-            orchestrate_localized(ctx, &SiteSchedule::Uniform(true), config).await
-        }
-    }
+    };
+    ctx.net.respond(&env, 0, Response::Certify(Box::new(reply)));
 }
 
 /// CA over the runtime: ship every involved extent, then evaluate at the
@@ -714,11 +659,11 @@ async fn orchestrate_centralized(ctx: &Ctx<'_>) -> CertifyReply {
 }
 
 /// BL/PL/HY over the runtime: fan `LocalEval` out to every hosting site
-/// (each with its schedule's `parallel` flag), merge the replies through
-/// [`LocalizedMerge`], certify, and tag degraded maybe results.
+/// (each with the schedule `policy` assigns it), merge the replies
+/// through [`LocalizedMerge`], certify, and tag degraded maybe results.
 async fn orchestrate_localized(
     ctx: &Ctx<'_>,
-    schedule: &SiteSchedule,
+    policy: &ModePolicy,
     config: LocalizedConfig,
 ) -> CertifyReply {
     let schema = ctx.fed.global_schema();
@@ -736,7 +681,7 @@ async fn orchestrate_localized(
         .map(|&site| {
             let net = ctx.net.clone();
             let request = Request::LocalEval {
-                parallel: schedule.parallel_at(site),
+                parallel: policy.parallel_at(site),
                 use_signatures: config.use_signatures,
                 complete_targets: config.complete_targets,
             };

@@ -7,25 +7,27 @@
 //! the degradation and cost diagnostics of the run.
 
 use crate::actor::{run_global, run_site, Ctx};
-use crate::msg::{Request, Response};
+use crate::msg::{CertifyReply, Request, Response};
 use crate::router::Net;
 use crate::rpc::{call, RpcConfig};
 use crate::rt::Runtime;
 use crate::transport::{LocalTransport, Transport};
-use fedoq_core::handlers::LocalizedConfig;
 use fedoq_core::{
-    query_fingerprint, refresh_catalog, BasicLocalized, CacheStats, Centralized, ExecError,
-    ExecutionStrategy, Federation, LookupCache, ParallelLocalized, PipelineConfig, QueryAnswer,
+    observe_execution, plan_knobs, query_fingerprint, refresh_catalog, CacheStats, ExecError,
+    ExecPlan, ExecutionStrategy, Federation, LocalizedConfig, LocalizedMode, LookupCache,
+    ModePolicy, PipelineConfig, QueryAnswer, WireMark,
 };
 use fedoq_object::DbId;
 use fedoq_plan::{choose, PipelineKnobs, PlanChoice, PlanKind, StatsCatalog};
 use fedoq_query::BoundQuery;
-use fedoq_sim::{Phase, QueryMetrics, Resource, Simulation, Site, SystemParams};
+use fedoq_sim::{Phase, QueryMetrics, Simulation, Site, SystemParams};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A strategy choice for the distributed runtime, mirroring the three
-/// in-process strategies.
+/// A fixed strategy choice by name, mirroring the paper's three
+/// strategies. [`plan`](DistributedStrategy::plan) turns it into the
+/// [`ExecPlan`] every executor runs; the per-site hybrid has no name of
+/// its own here because the planner picks its sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistributedStrategy {
     /// CA: ship everything, evaluate at the global site.
@@ -69,13 +71,7 @@ impl DistributedStrategy {
 
     /// The paper's name for the strategy (`-S` marks signature pruning).
     pub fn name(&self) -> &'static str {
-        match self {
-            DistributedStrategy::Centralized => "CA",
-            DistributedStrategy::BasicLocalized(c) if c.use_signatures => "BL-S",
-            DistributedStrategy::BasicLocalized(_) => "BL",
-            DistributedStrategy::ParallelLocalized(c) if c.use_signatures => "PL-S",
-            DistributedStrategy::ParallelLocalized(_) => "PL",
-        }
+        self.plan().label()
     }
 
     /// Parses a strategy name (`ca`, `bl`, `pl`, `bl-s`, `pl-s`).
@@ -90,19 +86,29 @@ impl DistributedStrategy {
         }
     }
 
+    /// The executable plan: CA, or a localized plan running one
+    /// schedule at every site.
+    pub fn plan(&self) -> ExecPlan {
+        let (mode, config) = match *self {
+            DistributedStrategy::Centralized => return ExecPlan::Centralized,
+            DistributedStrategy::BasicLocalized(config) => (LocalizedMode::Basic, config),
+            DistributedStrategy::ParallelLocalized(config) => (LocalizedMode::Parallel, config),
+        };
+        ExecPlan::Localized {
+            policy: ModePolicy::Uniform(mode),
+            config,
+        }
+    }
+
     /// The equivalent in-process strategy (for differential testing).
     pub fn sync(&self) -> Box<dyn ExecutionStrategy> {
-        match self {
-            DistributedStrategy::Centralized => Box::new(Centralized),
-            DistributedStrategy::BasicLocalized(c) => Box::new(BasicLocalized {
-                use_signatures: c.use_signatures,
-                complete_targets: c.complete_targets,
-            }),
-            DistributedStrategy::ParallelLocalized(c) => Box::new(ParallelLocalized {
-                use_signatures: c.use_signatures,
-                complete_targets: c.complete_targets,
-            }),
-        }
+        Box::new(self.plan())
+    }
+}
+
+impl From<DistributedStrategy> for ExecPlan {
+    fn from(strategy: DistributedStrategy) -> ExecPlan {
+        strategy.plan()
     }
 }
 
@@ -204,20 +210,24 @@ impl DistributedExecutor {
         self.cache.borrow_mut().reset();
     }
 
-    /// Executes `query` with `strategy` over `transport`, charging
-    /// `sim`'s ledger for every disk/CPU/network action.
+    /// Hit rate-aware cost-model knobs for this executor's pipeline and
+    /// persistent cache.
+    pub fn knobs(&self) -> PipelineKnobs {
+        plan_knobs(self.pipeline, Some(&self.cache))
+    }
+
+    /// Executes `query` under `plan` (a [`DistributedStrategy`] or any
+    /// [`ExecPlan`], hybrids included) over `transport`, charging `sim`'s
+    /// ledger for every disk/CPU/network action.
     pub fn run(
         &self,
         fed: &Federation,
         query: &BoundQuery,
-        strategy: DistributedStrategy,
+        plan: impl Into<ExecPlan>,
         transport: Rc<RefCell<dyn Transport>>,
         sim: Rc<RefCell<Simulation>>,
     ) -> Result<DistributedOutcome, ExecError> {
-        let response = self.drive(fed, query, Request::Certify { strategy }, &transport, &sim)?;
-        let (Response::Certify(reply), virtual_us) = response else {
-            return Err(ExecError::Internal("mismatched response to Certify".into()));
-        };
+        let (reply, virtual_us) = self.drive(fed, query, plan.into(), &transport, &sim)?;
         let (delivered, dropped) = transport.borrow().stats();
         Ok(DistributedOutcome {
             answer: reply.answer?,
@@ -230,62 +240,16 @@ impl DistributedExecutor {
         })
     }
 
-    /// Executes several strategies over the same query in one client
-    /// round-trip (`BatchCertify`), in order, over one shared runtime.
-    ///
-    /// The transport stats, cost-model metrics, and virtual clock are
-    /// those of the *whole batch* — the jobs share the simulation — so
-    /// every returned outcome carries the same totals. Any job's
-    /// execution error fails the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](DistributedExecutor::run), for any job.
-    pub fn run_batch(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        strategies: &[DistributedStrategy],
-        transport: Rc<RefCell<dyn Transport>>,
-        sim: Rc<RefCell<Simulation>>,
-    ) -> Result<Vec<DistributedOutcome>, ExecError> {
-        let request = Request::BatchCertify {
-            strategies: strategies.to_vec(),
-        };
-        let response = self.drive(fed, query, request, &transport, &sim)?;
-        let (Response::BatchCertify(replies), virtual_us) = response else {
-            return Err(ExecError::Internal(
-                "mismatched response to BatchCertify".into(),
-            ));
-        };
-        let (delivered, dropped) = transport.borrow().stats();
-        let metrics = sim.borrow().metrics();
-        replies
-            .into_iter()
-            .map(|reply| {
-                Ok(DistributedOutcome {
-                    answer: reply.answer?,
-                    degraded_sites: reply.degraded_sites,
-                    retries: reply.retries,
-                    delivered,
-                    dropped,
-                    metrics,
-                    virtual_us,
-                })
-            })
-            .collect()
-    }
-
-    /// Spins up the actors, sends one client request to the global
-    /// actor, and drives the runtime until its response arrives.
+    /// Spins up the actors, sends one `Certify` request as the client to
+    /// the global actor, and drives the runtime until its reply arrives.
     fn drive(
         &self,
         fed: &Federation,
         query: &BoundQuery,
-        request: Request,
+        plan: ExecPlan,
         transport: &Rc<RefCell<dyn Transport>>,
         sim: &Rc<RefCell<Simulation>>,
-    ) -> Result<(Response, f64), ExecError> {
+    ) -> Result<(Box<CertifyReply>, f64), ExecError> {
         // A store mutation since the last run flushes the cache.
         self.cache.borrow_mut().sync_generation(fed.generation());
         let cache = if self.pipeline.cache {
@@ -334,7 +298,7 @@ impl DistributedExecutor {
                     &client_net,
                     Site::Global,
                     Site::Global,
-                    request,
+                    Request::Certify { plan },
                     0,
                     Phase::Ship,
                     cfg,
@@ -343,46 +307,10 @@ impl DistributedExecutor {
             })
             .map_err(|deadlock| ExecError::Internal(deadlock.to_string()))?
             .map_err(|e| ExecError::Internal(format!("global actor lost: {e}")))?;
-        Ok((response, rt.handle().now_us()))
-    }
-
-    /// Executes `query` under a per-site hybrid plan: the listed sites
-    /// run PL's static-prefetch schedule, every other hosting site runs
-    /// BL's. One `HybridCertify` round-trip; the answer is identical to
-    /// BL's and PL's by the strategies' shared invariant.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](DistributedExecutor::run).
-    pub fn run_hybrid(
-        &self,
-        fed: &Federation,
-        query: &BoundQuery,
-        parallel_sites: Vec<DbId>,
-        config: LocalizedConfig,
-        transport: Rc<RefCell<dyn Transport>>,
-        sim: Rc<RefCell<Simulation>>,
-    ) -> Result<DistributedOutcome, ExecError> {
-        let request = Request::HybridCertify {
-            parallel_sites,
-            config,
+        let Response::Certify(reply) = response else {
+            return Err(ExecError::Internal("mismatched response to Certify".into()));
         };
-        let response = self.drive(fed, query, request, &transport, &sim)?;
-        let (Response::Certify(reply), virtual_us) = response else {
-            return Err(ExecError::Internal(
-                "mismatched response to HybridCertify".into(),
-            ));
-        };
-        let (delivered, dropped) = transport.borrow().stats();
-        Ok(DistributedOutcome {
-            answer: reply.answer?,
-            degraded_sites: reply.degraded_sites,
-            retries: reply.retries,
-            delivered,
-            dropped,
-            metrics: sim.borrow().metrics(),
-            virtual_us,
-        })
+        Ok((reply, rt.handle().now_us()))
     }
 
     /// The adaptive distributed executor: prices CA/BL/PL/HY against the
@@ -390,8 +318,8 @@ impl DistributedExecutor {
     /// the measured response time and transport cost back into the
     /// catalog.
     ///
-    /// A winning hybrid executes for real: `HybridCertify` carries the
-    /// plan's per-site modes, and each hosting site runs its own BL or PL
+    /// A winning hybrid executes for real: `Certify` carries the plan's
+    /// per-site modes, and each hosting site runs its own BL or PL
     /// schedule from one non-uniform fan-out. A stale catalog (the
     /// federation mutated since the last scan) is re-scanned first,
     /// keeping its accumulated observations.
@@ -409,77 +337,29 @@ impl DistributedExecutor {
     ) -> Result<AdaptiveDistributedOutcome, ExecError> {
         refresh_catalog(catalog, fed);
         let fingerprint = query_fingerprint(query);
-        let warmth = if self.pipeline.cache {
-            self.cache.borrow().stats().hit_rate()
-        } else {
-            0.0
-        };
-        let knobs = PipelineKnobs {
-            threads: self.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: self.pipeline.batch as f64,
-        };
         let choice = choose(
             catalog,
             fed.global_schema(),
             query,
-            &knobs,
+            &self.knobs(),
             fingerprint,
             true,
         );
-        let best = choice.best();
-        let executed = best.kind;
-        let before_net = sim.borrow().ledger().total_for_resource(Resource::Net);
-        let before_bytes = sim.borrow().metrics().bytes_transferred;
-        let outcome = match executed {
-            PlanKind::Centralized => self.run(
-                fed,
-                query,
-                DistributedStrategy::ca(),
-                transport,
-                Rc::clone(&sim),
-            )?,
-            PlanKind::BasicLocalized => self.run(
-                fed,
-                query,
-                DistributedStrategy::bl(),
-                transport,
-                Rc::clone(&sim),
-            )?,
-            PlanKind::ParallelLocalized => self.run(
-                fed,
-                query,
-                DistributedStrategy::pl(),
-                transport,
-                Rc::clone(&sim),
-            )?,
-            PlanKind::Hybrid => {
-                let parallel_sites: Vec<DbId> = best
-                    .modes
-                    .iter()
-                    .filter(|m| m.parallel)
-                    .map(|m| m.db)
-                    .collect();
-                self.run_hybrid(
-                    fed,
-                    query,
-                    parallel_sites,
-                    LocalizedConfig::default(),
-                    transport,
-                    Rc::clone(&sim),
-                )?
-            }
-        };
-        catalog.observe_response(fingerprint, executed.label(), outcome.metrics.response_us);
+        let executed = choice.best().kind;
+        let plan = ExecPlan::from_ranked(choice.best());
+        let label = plan.label();
         // The sim may be shared across runs: feed back only this run's
         // slice of the wire traffic.
-        let net_busy =
-            (sim.borrow().ledger().total_for_resource(Resource::Net) - before_net).as_micros();
-        let bytes = outcome
-            .metrics
-            .bytes_transferred
-            .saturating_sub(before_bytes);
-        catalog.observe_net(bytes, net_busy);
+        let before = WireMark::of(&sim.borrow());
+        let outcome = self.run(fed, query, plan, transport, Rc::clone(&sim))?;
+        observe_execution(
+            catalog,
+            fingerprint,
+            label,
+            outcome.metrics.response_us,
+            before,
+            &sim.borrow(),
+        );
         Ok(AdaptiveDistributedOutcome {
             outcome,
             choice,
@@ -493,14 +373,14 @@ impl DistributedExecutor {
         &self,
         fed: &Federation,
         query: &BoundQuery,
-        strategy: DistributedStrategy,
+        plan: impl Into<ExecPlan>,
     ) -> Result<DistributedOutcome, ExecError> {
         let sim = Rc::new(RefCell::new(Simulation::new(
             SystemParams::paper_default(),
             fed.num_dbs(),
         )));
         let transport: Rc<RefCell<dyn Transport>> = Rc::new(RefCell::new(LocalTransport::new()));
-        self.run(fed, query, strategy, transport, sim)
+        self.run(fed, query, plan, transport, sim)
     }
 }
 
@@ -556,16 +436,11 @@ mod tests {
             fed.num_dbs(),
         )));
         let transport: Rc<RefCell<dyn Transport>> = Rc::new(RefCell::new(LocalTransport::new()));
-        let hybrid = exec
-            .run_hybrid(
-                &fed,
-                &query,
-                vec![DbId::new(1)],
-                LocalizedConfig::default(),
-                transport,
-                sim,
-            )
-            .unwrap();
+        let plan = ExecPlan::Localized {
+            policy: ModePolicy::ParallelAt(vec![DbId::new(1)]),
+            config: LocalizedConfig::default(),
+        };
+        let hybrid = exec.run(&fed, &query, plan, transport, sim).unwrap();
         let uniform = exec
             .run_local(&fed, &query, DistributedStrategy::bl())
             .unwrap();

@@ -9,7 +9,8 @@
 //!   virtual clock: tasks interleave in FIFO order and time jumps to the
 //!   next timer, so a run is a pure function of its inputs and seed;
 //! * [`msg`] — the typed protocol (`Certify`, `LocalEval`,
-//!   `AssistantLookup`, `ShipObjects`) with per-message wire sizes;
+//!   `AssistantLookup`, `ShipObjects`, `BatchAssistantLookup`) with
+//!   per-message wire sizes;
 //! * [`transport`] — message fate: [`transport::LocalTransport`] delivers
 //!   instantly, [`transport::SimTransport`] adds per-link latency and
 //!   seeded fault injection (drops, site crashes, partitions, heals)
@@ -70,7 +71,6 @@ pub mod rpc;
 pub mod rt;
 pub mod transport;
 
-pub use actor::SiteSchedule;
 pub use exec::{
     AdaptiveDistributedOutcome, DistributedExecutor, DistributedOutcome, DistributedStrategy,
 };

@@ -2,33 +2,28 @@
 //!
 //! Every message travels inside an [`Envelope`] carrying its routing
 //! information, its simulated wire size, and the execution phase its
-//! transfer is charged to. Four request kinds cover the paper's three
-//! strategies:
+//! transfer is charged to. Five request kinds cover the paper's
+//! strategies and the batched pipeline:
 //!
 //! * [`Request::Certify`] — client → global actor: run one query end to
-//!   end and return the certified answer;
+//!   end under an [`ExecPlan`] (CA, or BL/PL/HY as one localized plan
+//!   with a per-site schedule) and return the certified answer;
 //! * [`Request::LocalEval`] — global → component site: evaluate your local
-//!   query (BL/PL); the response carries the site's local rows plus the
-//!   assistant verdicts it gathered from its peers;
+//!   query under BL's or PL's schedule; the response carries the site's
+//!   local rows plus the assistant verdicts it gathered from its peers;
 //! * [`Request::AssistantLookup`] — site → site: check these assistant
 //!   objects against their unsolved predicates (and fetch target values);
 //! * [`Request::ShipObjects`] — global → component site: ship your
-//!   projected extents (CA).
-//!
-//! Two further kinds support the batched pipeline
-//! ([`fedoq_core::PipelineConfig`]):
-//!
+//!   projected extents (CA);
 //! * [`Request::BatchAssistantLookup`] — site → site: an assistant-lookup
-//!   *fragment* coalescing up to K GOid probes into one round-trip. Unlike
-//!   the legacy all-probes-in-one `AssistantLookup`, a failed fragment is
-//!   split in half and each half retried on a fresh correlation id, so a
-//!   transient drop costs one fragment rather than the whole wave;
-//! * [`Request::BatchCertify`] — client → global actor: several strategy
-//!   executions coalesced into one client round-trip, answered together.
+//!   *fragment* coalescing up to K GOid probes into one round-trip
+//!   ([`fedoq_core::PipelineConfig::batch`]). Unlike the legacy
+//!   all-probes-in-one `AssistantLookup`, a failed fragment is split in
+//!   half and each half retried on a fresh correlation id, so a
+//!   transient drop costs one fragment rather than the whole wave.
 
-use crate::exec::DistributedStrategy;
-use fedoq_core::handlers::{CheckRequest, CheckVerdict, LocalRow, LocalizedConfig, TargetRequest};
-use fedoq_core::{ExecError, QueryAnswer};
+use fedoq_core::handlers::{CheckRequest, CheckVerdict, LocalRow, TargetRequest};
+use fedoq_core::{ExecError, ExecPlan, QueryAnswer};
 use fedoq_object::{DbId, LOid, Value};
 use fedoq_query::PredId;
 use fedoq_sim::{Phase, Site};
@@ -59,13 +54,24 @@ pub enum Payload {
     Response(Response),
 }
 
+impl Payload {
+    /// Short wire tag of the request or response carried (diagnostics).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Payload::Request(request) => request.kind(),
+            Payload::Response(response) => response.kind(),
+        }
+    }
+}
+
 /// A request served by a site actor.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Run one query end to end (client → global actor).
     Certify {
-        /// Which strategy drives the execution.
-        strategy: DistributedStrategy,
+        /// The plan to execute: CA, or a localized plan whose policy
+        /// assigns each hosting site BL's or PL's schedule.
+        plan: ExecPlan,
     },
     /// Evaluate the local query at a component site (BL/PL).
     LocalEval {
@@ -93,23 +99,6 @@ pub enum Request {
         /// Target-value fetches coalesced into this fragment.
         targets: Vec<TargetRequest>,
     },
-    /// Run several strategies over the same query in one client
-    /// round-trip (client → global actor).
-    BatchCertify {
-        /// The strategies to execute, answered in order.
-        strategies: Vec<DistributedStrategy>,
-    },
-    /// Run one query under a per-site hybrid plan (client → global
-    /// actor): the listed sites execute PL's static-prefetch schedule,
-    /// every other hosting site executes BL's. Answered with
-    /// [`Response::Certify`] — the hybrid is a localized execution with
-    /// non-uniform per-site modes, not a new protocol.
-    HybridCertify {
-        /// Sites running PL's schedule; the rest run BL's.
-        parallel_sites: Vec<DbId>,
-        /// Signature pruning / target completion options.
-        config: LocalizedConfig,
-    },
 }
 
 impl Request {
@@ -121,8 +110,6 @@ impl Request {
             Request::AssistantLookup { .. } => "AssistantLookup",
             Request::ShipObjects => "ShipObjects",
             Request::BatchAssistantLookup { .. } => "BatchAssistantLookup",
-            Request::BatchCertify { .. } => "BatchCertify",
-            Request::HybridCertify { .. } => "HybridCertify",
         }
     }
 }
@@ -140,8 +127,19 @@ pub enum Response {
     ShipObjects(ShipReply),
     /// Verdicts and values for one batched-lookup fragment.
     BatchAssistantLookup(LookupReply),
-    /// One certified answer per strategy of a [`Request::BatchCertify`].
-    BatchCertify(Vec<CertifyReply>),
+}
+
+impl Response {
+    /// Short wire tag (diagnostics): the kind of the request answered.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Response::Certify(_) => "Certify",
+            Response::LocalEval(_) => "LocalEval",
+            Response::AssistantLookup(_) => "AssistantLookup",
+            Response::ShipObjects(_) => "ShipObjects",
+            Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
+        }
+    }
 }
 
 /// Final result of one distributed query execution.

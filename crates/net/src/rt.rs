@@ -190,59 +190,20 @@ impl<'a> Runtime<'a> {
     /// Drives `main` (and every spawned task) to completion; returns
     /// `main`'s output. Background tasks still pending when `main`
     /// finishes are dropped.
+    ///
+    /// This is [`Runtime::run_driven`] with the simulation driver: when
+    /// every task is blocked, virtual time jumps straight to the earliest
+    /// pending timer, and with no timer left the run is a deadlock.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Deadlock`] when every task is blocked and no timer is
+    /// pending.
     pub fn run<T: 'a>(&self, main: impl Future<Output = T> + 'a) -> Result<T, Deadlock> {
-        let out: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-        let out2 = Rc::clone(&out);
-        self.handle().spawn(async move {
-            let value = main.await;
-            *out2.borrow_mut() = Some(value);
-        });
-        loop {
-            // Move externally-woken tasks onto the ready queue.
-            {
-                let mut woken = self.woken.lock().expect("wake queue poisoned");
-                let mut inner = self.inner.borrow_mut();
-                for id in woken.drain(..) {
-                    if inner.tasks.contains_key(&id) && !inner.ready.contains(&id) {
-                        inner.ready.push_back(id);
-                    }
-                }
-            }
-            // Poll the ready queue FIFO.
-            let next = self.inner.borrow_mut().ready.pop_front();
-            if let Some(id) = next {
-                let Some(mut fut) = self.inner.borrow_mut().tasks.remove(&id) else {
-                    continue;
-                };
-                let waker = Waker::from(Arc::new(TaskWaker {
-                    id,
-                    queue: Arc::clone(&self.woken),
-                }));
-                let mut cx = Context::from_waker(&waker);
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {}
-                    Poll::Pending => {
-                        self.inner.borrow_mut().tasks.insert(id, fut);
-                    }
-                }
-                if let Some(value) = out.borrow_mut().take() {
-                    return Ok(value);
-                }
-                continue;
-            }
-            // Nothing ready: advance virtual time to the earliest timer.
-            let mut inner = self.inner.borrow_mut();
-            if !self.woken.lock().expect("wake queue poisoned").is_empty() {
-                continue; // a poll raced a wake; loop again
-            }
-            match inner.timers.pop() {
-                Some(Reverse(timer)) => {
-                    inner.now_us = inner.now_us.max(timer.at_us);
-                    timer.waker.wake();
-                }
-                None => return Err(Deadlock),
-            }
-        }
+        self.run_driven(main, |_, next_timer_us| match next_timer_us {
+            Some(at_us) => IdleStep::Advance(at_us),
+            None => IdleStep::Halt,
+        })
     }
 }
 
@@ -279,7 +240,7 @@ impl<'a> Runtime<'a> {
     pub fn run_driven<T: 'a>(
         &self,
         main: impl Future<Output = T> + 'a,
-        mut on_idle: impl FnMut(f64, Option<f64>) -> IdleStep,
+        on_idle: impl FnMut(f64, Option<f64>) -> IdleStep,
     ) -> Result<T, Deadlock> {
         let out: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
@@ -287,7 +248,34 @@ impl<'a> Runtime<'a> {
             let value = main.await;
             *out2.borrow_mut() = Some(value);
         });
+        let result = self.drive(&out, on_idle);
+        // Pending actors hold handles into `Inner`; left in place they
+        // would keep it — and everything they own — alive forever.
+        // Take them out first and drop them once the borrow is released,
+        // so a destructor reaching back into the runtime finds it free.
+        let (tasks, timers) = {
+            let mut inner = self.inner.borrow_mut();
+            inner.ready.clear();
+            (
+                std::mem::take(&mut inner.tasks),
+                std::mem::take(&mut inner.timers),
+            )
+        };
+        drop(tasks);
+        drop(timers);
+        result
+    }
+
+    /// The executor loop behind [`Runtime::run_driven`]: polls ready
+    /// tasks FIFO until `out` is filled, firing due timers and consulting
+    /// `on_idle` whenever nothing is ready.
+    fn drive<T>(
+        &self,
+        out: &RefCell<Option<T>>,
+        mut on_idle: impl FnMut(f64, Option<f64>) -> IdleStep,
+    ) -> Result<T, Deadlock> {
         loop {
+            // Move externally-woken tasks onto the ready queue.
             {
                 let mut woken = self.woken.lock().expect("wake queue poisoned");
                 let mut inner = self.inner.borrow_mut();
@@ -297,6 +285,7 @@ impl<'a> Runtime<'a> {
                     }
                 }
             }
+            // Poll the ready queue FIFO.
             let next = self.inner.borrow_mut().ready.pop_front();
             if let Some(id) = next {
                 let Some(mut fut) = self.inner.borrow_mut().tasks.remove(&id) else {
@@ -582,6 +571,26 @@ mod tests {
         let err = rt.run(std::future::pending::<()>()).unwrap_err();
         assert_eq!(err, Deadlock);
         assert!(err.to_string().contains("deadlock"));
+    }
+
+    #[test]
+    fn pending_tasks_do_not_keep_the_runtime_alive() {
+        let rt = Runtime::new();
+        let inner = Rc::downgrade(&rt.inner);
+        let h = rt.handle();
+        let h2 = h.clone();
+        // A never-ending actor holding a handle, plus a pending timer.
+        h.spawn(async move {
+            h2.sleep(1e9).await;
+            std::future::pending::<()>().await;
+        });
+        rt.run(async {}).unwrap();
+        drop(h);
+        drop(rt);
+        assert!(
+            inner.upgrade().is_none(),
+            "a pending task kept the runtime alive after run returned"
+        );
     }
 
     #[test]

@@ -267,8 +267,8 @@ pub fn replan(
 ///
 /// `fingerprint` keys the feedback loop (use the executor's query
 /// fingerprint so repeated runs converge); `allow_hybrid` gates the
-/// per-site assignment (the distributed runtime only ships uniform
-/// strategies).
+/// per-site assignment (every executor runs it, so callers pass `true`
+/// unless they want the uniform strategies ranked alone).
 pub fn choose(
     catalog: &StatsCatalog,
     schema: &GlobalSchema,

@@ -37,8 +37,8 @@ use crate::gate::{Admission, DrrGate};
 use crate::trace::{DispatchTrace, ReplanEvent, TraceEvent};
 use fedoq_core::handlers::{centralized_answer_with, ship_plan, LocalizedConfig, LocalizedMerge};
 use fedoq_core::{
-    collect_catalog, query_fingerprint, ExecError, Federation, LookupCache, PipelineConfig,
-    QueryAnswer,
+    collect_catalog, plan_knobs, query_fingerprint, ExecError, ExecPlan, Federation, LookupCache,
+    ModePolicy, PipelineConfig, QueryAnswer,
 };
 use fedoq_net::actor::{run_site, Ctx, FANOUT_TIMEOUT_SCALE};
 use fedoq_net::msg::{Request, Response};
@@ -47,7 +47,7 @@ use fedoq_net::rpc::call;
 use fedoq_net::rt::{join_all, timeout, Runtime};
 use fedoq_net::{DistributedStrategy, RpcConfig, Transport};
 use fedoq_object::DbId;
-use fedoq_plan::{choose, replan, PipelineKnobs, PlanKind, StatsCatalog};
+use fedoq_plan::{choose, replan, PipelineKnobs, StatsCatalog};
 use fedoq_query::{plan_for_db, BoundQuery};
 use fedoq_sim::{Phase, Simulation, Site};
 use std::cell::{Cell, RefCell};
@@ -303,16 +303,7 @@ impl<'a> QueryCtx<'a> {
     }
 
     fn knobs(&self) -> PipelineKnobs {
-        let warmth = if self.cfg.pipeline.cache {
-            self.cache.borrow().stats().hit_rate()
-        } else {
-            0.0
-        };
-        PipelineKnobs {
-            threads: self.cfg.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: self.cfg.pipeline.batch as f64,
-        }
+        plan_knobs(self.cfg.pipeline, Some(&self.cache))
     }
 }
 
@@ -529,15 +520,15 @@ async fn monitor_stragglers<'a>(
     }
 }
 
-/// Runs one localized plan (`modes` assigns each hosting site its
+/// Runs one localized plan (`policy` assigns each hosting site its
 /// schedule) and certifies the merged replies.
 async fn run_localized<'a>(
     qc: QueryCtx<'a>,
-    modes: Vec<(DbId, bool)>,
+    policy: ModePolicy,
     config: LocalizedConfig,
     monitor: bool,
 ) -> BodyResult {
-    let hosting: Rc<Vec<DbId>> = Rc::new(modes.iter().map(|(s, _)| *s).collect());
+    let hosting: Rc<Vec<DbId>> = Rc::new(hosting_sites(qc.fed, qc.query));
     let board = Rc::new(RefCell::new(Board {
         merge: LocalizedMerge::new(),
         states: hosting.iter().map(|&s| (s, SiteState::default())).collect(),
@@ -548,12 +539,12 @@ async fn run_localized<'a>(
         finished: false,
     }));
     let rt = qc.net.rt().clone();
-    for &(site, parallel) in &modes {
+    for &site in hosting.iter() {
         rt.spawn(dispatch_site(
             qc.clone(),
             Rc::clone(&board),
             site,
-            parallel,
+            policy.parallel_at(site),
             0,
             config,
         ));
@@ -732,68 +723,30 @@ async fn drive_query<'a>(
     });
 
     // Pick the plan.
-    let hosting = hosting_sites(qc.fed, qc.query);
-    let uniform =
-        |parallel: bool| -> Vec<(DbId, bool)> { hosting.iter().map(|&s| (s, parallel)).collect() };
     let fingerprint = query_fingerprint(qc.query);
-    enum PlannedBody {
-        Centralized,
-        Localized(Vec<(DbId, bool)>, LocalizedConfig, bool),
-    }
-    let (label, body): (&'static str, PlannedBody) = match spec.strategy {
-        SchedStrategy::Fixed(strategy) => match strategy {
-            DistributedStrategy::Centralized => (strategy.name(), PlannedBody::Centralized),
-            DistributedStrategy::BasicLocalized(config) => (
-                strategy.name(),
-                PlannedBody::Localized(uniform(false), config, false),
-            ),
-            DistributedStrategy::ParallelLocalized(config) => (
-                strategy.name(),
-                PlannedBody::Localized(uniform(true), config, false),
-            ),
-        },
+    let adaptive = matches!(spec.strategy, SchedStrategy::Adaptive);
+    let plan = match spec.strategy {
+        SchedStrategy::Fixed(strategy) => strategy.plan(),
         SchedStrategy::Adaptive => {
-            let choice = {
-                let catalog = qc.catalog.borrow();
-                choose(
-                    &catalog,
-                    qc.fed.global_schema(),
-                    qc.query,
-                    &qc.knobs(),
-                    fingerprint,
-                    true,
-                )
-            };
-            let best = choice.best();
-            let config = LocalizedConfig::default();
-            match best.kind {
-                PlanKind::Centralized => ("CA", PlannedBody::Centralized),
-                PlanKind::BasicLocalized => {
-                    ("BL", PlannedBody::Localized(uniform(false), config, true))
-                }
-                PlanKind::ParallelLocalized => {
-                    ("PL", PlannedBody::Localized(uniform(true), config, true))
-                }
-                PlanKind::Hybrid => {
-                    let modes = hosting
-                        .iter()
-                        .map(|&s| {
-                            let parallel = best.modes.iter().any(|m| m.db == s && m.parallel);
-                            (s, parallel)
-                        })
-                        .collect();
-                    ("HY", PlannedBody::Localized(modes, config, true))
-                }
-            }
+            let catalog = qc.catalog.borrow();
+            let choice = choose(
+                &catalog,
+                qc.fed.global_schema(),
+                qc.query,
+                &qc.knobs(),
+                fingerprint,
+                true,
+            );
+            ExecPlan::from_ranked(choice.best())
         }
     };
-    let adaptive = matches!(spec.strategy, SchedStrategy::Adaptive);
+    let label = plan.label();
 
     // Execute, raced against what's left of the deadline.
-    let body: Pin<Box<dyn Future<Output = BodyResult> + 'a>> = match body {
-        PlannedBody::Centralized => Box::pin(run_centralized(qc.clone())),
-        PlannedBody::Localized(modes, config, monitor) => {
-            Box::pin(run_localized(qc.clone(), modes, config, monitor))
+    let body: Pin<Box<dyn Future<Output = BodyResult> + 'a>> = match plan {
+        ExecPlan::Centralized => Box::pin(run_centralized(qc.clone())),
+        ExecPlan::Localized { policy, config } => {
+            Box::pin(run_localized(qc.clone(), policy, config, adaptive))
         }
     };
     let deadline_left = spec

@@ -310,6 +310,11 @@ impl Simulation {
         &self.ledger
     }
 
+    /// Bytes sent over the network so far.
+    pub fn bytes_transferred(&self) -> u64 {
+        self.bytes_transferred
+    }
+
     /// Busy fraction of every resource over the response horizon: one
     /// entry per component site, then the global site, then the network.
     /// Empty horizon yields zeros. Diagnoses where a strategy's

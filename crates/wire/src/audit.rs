@@ -32,15 +32,13 @@ use crate::frame::{
     dec_role, enc_role, encode_frame, encode_payload, read_frame, Frame, Role, VERSION,
 };
 use crate::proto::{
-    dec_phase, dec_request, dec_response, dec_site, dec_strategy, dec_truth, dec_value, enc_phase,
-    enc_request, enc_response, enc_site, enc_strategy, enc_truth, enc_value,
+    dec_phase, dec_plan, dec_policy, dec_request, dec_response, dec_site, dec_truth, dec_value,
+    enc_phase, enc_plan, enc_policy, enc_request, enc_response, enc_site, enc_truth, enc_value,
 };
-use fedoq_core::handlers::LocalizedConfig;
-use fedoq_core::QueryAnswer;
+use fedoq_core::{ExecPlan, LocalizedConfig, LocalizedMode, ModePolicy, QueryAnswer};
 use fedoq_net::msg::{
     CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
-use fedoq_net::DistributedStrategy;
 use fedoq_object::Truth;
 use fedoq_object::{DbId, GOid, LOid, Value};
 use fedoq_sim::{Phase, Site};
@@ -52,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// changes, FQ306 fires until [`crate::frame::VERSION`] is bumped *and*
 /// this pin is updated to the value printed by the
 /// `grammar_pin_matches_current_surface` test.
-pub const GRAMMAR_PIN: (u32, u64) = (3, 0x65ba_bf2a_2240_639c);
+pub const GRAMMAR_PIN: (u32, u64) = (4, 0x5583_99d0_1529_7389);
 
 /// One tagged enum family of the wire grammar.
 #[derive(Debug, Clone)]
@@ -135,28 +133,45 @@ pub struct WireSurface {
 // to the enum without teaching this table (and the codec) is a compile
 // error — the static half of FQ304's exhaustiveness guarantee.
 
-fn strategy_exemplars() -> Vec<(&'static str, Vec<u8>)> {
-    fn name(s: &DistributedStrategy) -> &'static str {
-        match s {
-            DistributedStrategy::Centralized => "Centralized",
-            DistributedStrategy::BasicLocalized(_) => "BasicLocalized",
-            DistributedStrategy::ParallelLocalized(_) => "ParallelLocalized",
+fn plan_exemplars() -> Vec<(&'static str, Vec<u8>)> {
+    fn name(p: &ExecPlan) -> &'static str {
+        match p {
+            ExecPlan::Centralized => "Centralized",
+            ExecPlan::Localized { .. } => "Localized",
         }
     }
-    let cfg = LocalizedConfig {
-        use_signatures: false,
-        complete_targets: false,
-    };
     [
-        DistributedStrategy::Centralized,
-        DistributedStrategy::BasicLocalized(cfg),
-        DistributedStrategy::ParallelLocalized(cfg),
+        ExecPlan::Centralized,
+        ExecPlan::Localized {
+            policy: ModePolicy::Uniform(LocalizedMode::Basic),
+            config: LocalizedConfig::default(),
+        },
     ]
     .iter()
-    .map(|s| {
+    .map(|p| {
         let mut w = Writer::new();
-        enc_strategy(&mut w, *s);
-        (name(s), w.finish())
+        enc_plan(&mut w, p);
+        (name(p), w.finish())
+    })
+    .collect()
+}
+
+fn policy_exemplars() -> Vec<(&'static str, Vec<u8>)> {
+    fn name(p: &ModePolicy) -> &'static str {
+        match p {
+            ModePolicy::Uniform(_) => "Uniform",
+            ModePolicy::ParallelAt(_) => "ParallelAt",
+        }
+    }
+    [
+        ModePolicy::Uniform(LocalizedMode::Parallel),
+        ModePolicy::ParallelAt(vec![DbId::new(0)]),
+    ]
+    .iter()
+    .map(|p| {
+        let mut w = Writer::new();
+        enc_policy(&mut w, p);
+        (name(p), w.finish())
     })
     .collect()
 }
@@ -273,13 +288,11 @@ fn request_exemplars() -> Vec<(&'static str, Vec<u8>)> {
             Request::AssistantLookup { .. } => "AssistantLookup",
             Request::ShipObjects => "ShipObjects",
             Request::BatchAssistantLookup { .. } => "BatchAssistantLookup",
-            Request::BatchCertify { .. } => "BatchCertify",
-            Request::HybridCertify { .. } => "HybridCertify",
         }
     }
     [
         Request::Certify {
-            strategy: DistributedStrategy::Centralized,
+            plan: ExecPlan::Centralized,
         },
         Request::LocalEval {
             parallel: false,
@@ -294,11 +307,6 @@ fn request_exemplars() -> Vec<(&'static str, Vec<u8>)> {
         Request::BatchAssistantLookup {
             checks: vec![],
             targets: vec![],
-        },
-        Request::BatchCertify { strategies: vec![] },
-        Request::HybridCertify {
-            parallel_sites: vec![],
-            config: LocalizedConfig::default(),
         },
     ]
     .iter()
@@ -318,7 +326,6 @@ fn response_exemplars() -> Vec<(&'static str, Vec<u8>)> {
             Response::AssistantLookup(_) => "AssistantLookup",
             Response::ShipObjects(_) => "ShipObjects",
             Response::BatchAssistantLookup(_) => "BatchAssistantLookup",
-            Response::BatchCertify(_) => "BatchCertify",
         }
     }
     let certify = CertifyReply {
@@ -338,12 +345,11 @@ fn response_exemplars() -> Vec<(&'static str, Vec<u8>)> {
         values: vec![],
     };
     [
-        Response::Certify(Box::new(certify.clone())),
+        Response::Certify(Box::new(certify)),
         Response::LocalEval(Box::new(local_eval)),
         Response::AssistantLookup(lookup.clone()),
         Response::ShipObjects(ShipReply { bytes: 0 }),
         Response::BatchAssistantLookup(lookup),
-        Response::BatchCertify(vec![certify]),
     ]
     .iter()
     .map(|r| {
@@ -560,7 +566,8 @@ pub fn surface() -> WireSurface {
         ("phase", phase_exemplars()),
         ("truth", truth_exemplars()),
         ("value", value_exemplars()),
-        ("strategy", strategy_exemplars()),
+        ("plan", plan_exemplars()),
+        ("policy", policy_exemplars()),
         ("request", request_exemplars()),
         ("response", response_exemplars()),
     ];
@@ -604,21 +611,27 @@ pub fn surface() -> WireSurface {
             via(|r| dec_value(r).map(|_| ())),
         ),
         build_family(
-            "strategy",
-            "strategy tag",
+            "plan",
+            "plan tag",
             &tables[6].1,
-            via(|r| dec_strategy(r).map(|_| ())),
+            via(|r| dec_plan(r).map(|_| ())),
+        ),
+        build_family(
+            "policy",
+            "policy tag",
+            &tables[7].1,
+            via(|r| dec_policy(r).map(|_| ())),
         ),
         build_family(
             "request",
             "request tag",
-            &tables[7].1,
+            &tables[8].1,
             via(|r| dec_request(r).map(|_| ())),
         ),
         build_family(
             "response",
             "response tag",
-            &tables[8].1,
+            &tables[9].1,
             via(|r| dec_response(r).map(|_| ())),
         ),
     ];

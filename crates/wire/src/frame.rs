@@ -31,10 +31,14 @@ use std::io::{self, Read, Write};
 pub const MAGIC: u32 = 0x3157_5146;
 /// Protocol version; bumped on any layout change.
 ///
-/// v2: added `Request::HybridCertify` (per-site BL/PL schedules).
+/// v2: added a hybrid certify request (per-site BL/PL schedules).
 /// v3: standing-query subscription frames (Subscribe/Delta/Unsubscribe/
 /// Mutate).
-pub const VERSION: u32 = 3;
+/// v4: `Request::Certify` carries an `ExecPlan` (CA, or a localized plan
+/// with a per-site BL/PL policy), replacing the strategy tag and the v2
+/// hybrid request; the never-sent batch certify request and response
+/// are gone, so request and response tags run 0–4 without gaps.
+pub const VERSION: u32 = 4;
 
 /// What kind of endpoint dialed a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

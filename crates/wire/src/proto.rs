@@ -19,11 +19,12 @@ use crate::codec::{Reader, WireError, Writer, MAX_DEPTH};
 use fedoq_core::handlers::{
     CheckRequest, CheckVerdict, LocalRow, LocalizedConfig, TargetRequest, UnsolvedEntry,
 };
-use fedoq_core::{ExecError, MaybeRow, Provenance, QueryAnswer, ResultRow};
+use fedoq_core::{
+    ExecError, ExecPlan, LocalizedMode, MaybeRow, ModePolicy, Provenance, QueryAnswer, ResultRow,
+};
 use fedoq_net::msg::{
     CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
-use fedoq_net::DistributedStrategy;
 use fedoq_object::{DbId, GOid, LOid, Truth, Value};
 use fedoq_query::PredId;
 use fedoq_sim::{Phase, Site};
@@ -175,7 +176,7 @@ fn dec_pred(r: &mut Reader) -> Result<PredId, WireError> {
     Ok(PredId::new(r.size()?))
 }
 
-// ----------------------------------------------------------- strategies
+// ---------------------------------------------------------------- plans
 
 fn enc_localized_config(w: &mut Writer, c: LocalizedConfig) {
     w.boolean(c.use_signatures);
@@ -189,30 +190,53 @@ fn dec_localized_config(r: &mut Reader) -> Result<LocalizedConfig, WireError> {
     })
 }
 
-pub(crate) fn enc_strategy(w: &mut Writer, s: DistributedStrategy) {
-    match s {
-        DistributedStrategy::Centralized => w.u8(0),
-        DistributedStrategy::BasicLocalized(c) => {
-            w.u8(1);
-            enc_localized_config(w, c);
+pub(crate) fn enc_policy(w: &mut Writer, policy: &ModePolicy) {
+    match policy {
+        ModePolicy::Uniform(mode) => {
+            w.u8(0);
+            w.boolean(*mode == LocalizedMode::Parallel);
         }
-        DistributedStrategy::ParallelLocalized(c) => {
-            w.u8(2);
-            enc_localized_config(w, c);
+        ModePolicy::ParallelAt(sites) => {
+            w.u8(1);
+            w.seq(sites.len());
+            for db in sites {
+                enc_db(w, *db);
+            }
         }
     }
 }
 
-pub(crate) fn dec_strategy(r: &mut Reader) -> Result<DistributedStrategy, WireError> {
+pub(crate) fn dec_policy(r: &mut Reader) -> Result<ModePolicy, WireError> {
     match r.u8()? {
-        0 => Ok(DistributedStrategy::Centralized),
-        1 => Ok(DistributedStrategy::BasicLocalized(dec_localized_config(
-            r,
-        )?)),
-        2 => Ok(DistributedStrategy::ParallelLocalized(
-            dec_localized_config(r)?,
-        )),
-        _ => Err(WireError::Malformed("strategy tag")),
+        0 => Ok(ModePolicy::Uniform(if r.boolean()? {
+            LocalizedMode::Parallel
+        } else {
+            LocalizedMode::Basic
+        })),
+        1 => Ok(ModePolicy::ParallelAt(dec_seq(r, dec_db)?)),
+        _ => Err(WireError::Malformed("policy tag")),
+    }
+}
+
+pub(crate) fn enc_plan(w: &mut Writer, plan: &ExecPlan) {
+    match plan {
+        ExecPlan::Centralized => w.u8(0),
+        ExecPlan::Localized { policy, config } => {
+            w.u8(1);
+            enc_policy(w, policy);
+            enc_localized_config(w, *config);
+        }
+    }
+}
+
+pub(crate) fn dec_plan(r: &mut Reader) -> Result<ExecPlan, WireError> {
+    match r.u8()? {
+        0 => Ok(ExecPlan::Centralized),
+        1 => Ok(ExecPlan::Localized {
+            policy: dec_policy(r)?,
+            config: dec_localized_config(r)?,
+        }),
+        _ => Err(WireError::Malformed("plan tag")),
     }
 }
 
@@ -365,9 +389,9 @@ fn enc_lookup_lists(w: &mut Writer, checks: &[CheckRequest], targets: &[TargetRe
 
 pub(crate) fn enc_request(w: &mut Writer, req: &Request) {
     match req {
-        Request::Certify { strategy } => {
+        Request::Certify { plan } => {
             w.u8(0);
-            enc_strategy(w, *strategy);
+            enc_plan(w, plan);
         }
         Request::LocalEval {
             parallel,
@@ -388,32 +412,12 @@ pub(crate) fn enc_request(w: &mut Writer, req: &Request) {
             w.u8(4);
             enc_lookup_lists(w, checks, targets);
         }
-        Request::BatchCertify { strategies } => {
-            w.u8(5);
-            w.seq(strategies.len());
-            for s in strategies {
-                enc_strategy(w, *s);
-            }
-        }
-        Request::HybridCertify {
-            parallel_sites,
-            config,
-        } => {
-            w.u8(6);
-            w.seq(parallel_sites.len());
-            for db in parallel_sites {
-                enc_db(w, *db);
-            }
-            enc_localized_config(w, *config);
-        }
     }
 }
 
 pub(crate) fn dec_request(r: &mut Reader) -> Result<Request, WireError> {
     match r.u8()? {
-        0 => Ok(Request::Certify {
-            strategy: dec_strategy(r)?,
-        }),
+        0 => Ok(Request::Certify { plan: dec_plan(r)? }),
         1 => Ok(Request::LocalEval {
             parallel: r.boolean()?,
             use_signatures: r.boolean()?,
@@ -430,13 +434,6 @@ pub(crate) fn dec_request(r: &mut Reader) -> Result<Request, WireError> {
             let targets = dec_seq(r, dec_target_request)?;
             Ok(Request::BatchAssistantLookup { checks, targets })
         }
-        5 => Ok(Request::BatchCertify {
-            strategies: dec_seq(r, dec_strategy)?,
-        }),
-        6 => Ok(Request::HybridCertify {
-            parallel_sites: dec_seq(r, dec_db)?,
-            config: dec_localized_config(r)?,
-        }),
         _ => Err(WireError::Malformed("request tag")),
     }
 }
@@ -660,13 +657,6 @@ pub(crate) fn enc_response(w: &mut Writer, resp: &Response) {
             w.u8(4);
             enc_lookup_reply(w, reply);
         }
-        Response::BatchCertify(replies) => {
-            w.u8(5);
-            w.seq(replies.len());
-            for reply in replies {
-                enc_certify_reply(w, reply);
-            }
-        }
     }
 }
 
@@ -677,7 +667,6 @@ pub(crate) fn dec_response(r: &mut Reader) -> Result<Response, WireError> {
         2 => Ok(Response::AssistantLookup(dec_lookup_reply(r)?)),
         3 => Ok(Response::ShipObjects(ShipReply { bytes: r.u64()? })),
         4 => Ok(Response::BatchAssistantLookup(dec_lookup_reply(r)?)),
-        5 => Ok(Response::BatchCertify(dec_seq(r, dec_certify_reply)?)),
         _ => Err(WireError::Malformed("response tag")),
     }
 }

@@ -32,17 +32,17 @@ use crate::hub::Hub;
 use crate::live::LiveSession;
 use crate::render::render_answer;
 use crate::transport::{Locality, TcpTransport};
-use fedoq_core::handlers::LocalizedConfig;
 use fedoq_core::{
-    collect_catalog, query_fingerprint, refresh_catalog, Federation, LookupCache, PipelineConfig,
+    collect_catalog, observe_execution, plan_knobs, query_fingerprint, refresh_catalog, ExecPlan,
+    Federation, LookupCache, PipelineConfig, WireMark,
 };
 use fedoq_net::actor::{run_global, Ctx};
 use fedoq_net::msg::{Request, Response};
 use fedoq_net::router::Net;
 use fedoq_net::rpc::call;
 use fedoq_net::{DistributedStrategy, RpcConfig, Runtime, Transport};
-use fedoq_plan::{choose, PipelineKnobs, PlanKind, StatsCatalog};
-use fedoq_sim::{Phase, Resource, Simulation, Site, SystemParams};
+use fedoq_plan::{choose, StatsCatalog};
+use fedoq_sim::{Phase, Simulation, Site, SystemParams};
 use fedoq_sync::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -372,63 +372,27 @@ fn execute(
     let query = fed.parse_and_bind(&job.sql).map_err(|e| e.to_string())?;
     let fingerprint = query_fingerprint(&query);
 
-    // Strategy selection: a fixed name, or the adaptive planner ranking
-    // CA/BL/PL/HY against this worker's statistics catalog. A hybrid
-    // winner ships as one `HybridCertify` carrying the per-site
-    // schedule; uniform winners ship as a plain `Certify`.
+    // Plan selection: a fixed name, or the adaptive planner ranking
+    // CA/BL/PL/HY against this worker's statistics catalog. Either way
+    // one `Certify` carries the plan, per-site schedule included.
     let adaptive = job.strategy.eq_ignore_ascii_case("adaptive");
-    let (request, executed, planned) = if adaptive {
+    let plan = if adaptive {
         refresh_catalog(catalog, fed);
-        let warmth = if opts.pipeline.cache {
-            cache.borrow().stats().hit_rate()
-        } else {
-            0.0
-        };
-        let knobs = PipelineKnobs {
-            threads: opts.pipeline.threads.max(1) as f64,
-            warmth,
-            batch: opts.pipeline.batch as f64,
-        };
         let choice = choose(
             catalog,
             fed.global_schema(),
             &query,
-            &knobs,
+            &plan_knobs(opts.pipeline, Some(cache)),
             fingerprint,
             true,
         );
-        let best = choice.best();
-        let kind = best.kind;
-        let request = match kind {
-            PlanKind::Centralized => Request::Certify {
-                strategy: DistributedStrategy::ca(),
-            },
-            PlanKind::BasicLocalized => Request::Certify {
-                strategy: DistributedStrategy::bl(),
-            },
-            PlanKind::ParallelLocalized => Request::Certify {
-                strategy: DistributedStrategy::pl(),
-            },
-            PlanKind::Hybrid => Request::HybridCertify {
-                parallel_sites: best
-                    .modes
-                    .iter()
-                    .filter(|m| m.parallel)
-                    .map(|m| m.db)
-                    .collect(),
-                config: LocalizedConfig::default(),
-            },
-        };
-        (request, kind.label().to_string(), Some(kind))
+        ExecPlan::from_ranked(choice.best())
     } else {
-        let strategy = DistributedStrategy::parse(&job.strategy)
-            .ok_or_else(|| format!("unknown strategy '{}'", job.strategy))?;
-        (
-            Request::Certify { strategy },
-            strategy.name().to_string(),
-            None,
-        )
+        DistributedStrategy::parse(&job.strategy)
+            .ok_or_else(|| format!("unknown strategy '{}'", job.strategy))?
+            .plan()
     };
+    let executed = plan.label();
 
     cache.borrow_mut().sync_generation(fed.generation());
     let cache_opt = if opts.pipeline.cache {
@@ -440,6 +404,7 @@ fn execute(
         SystemParams::paper_default(),
         fed.num_dbs(),
     )));
+    let before = WireMark::of(&sim.borrow());
     let transport: Rc<RefCell<dyn Transport>> = Rc::new(RefCell::new(TcpTransport::new(
         hub.clone(),
         Locality::Global,
@@ -481,7 +446,7 @@ fn execute(
                     &client_net,
                     Site::Global,
                     Site::Global,
-                    request,
+                    Request::Certify { plan },
                     0,
                     Phase::Ship,
                     cfg,
@@ -505,20 +470,15 @@ fn execute(
 
     // Adaptive feedback: the measured response and wire traffic sharpen
     // the next plan.
-    if let Some(kind) = planned {
-        let metrics = sim.borrow().metrics();
-        catalog.observe_response(fingerprint, kind.label(), metrics.response_us);
-        let net_busy = sim
-            .borrow()
-            .ledger()
-            .total_for_resource(Resource::Net)
-            .as_micros();
-        catalog.observe_net(metrics.bytes_transferred, net_busy);
+    if adaptive {
+        let sim = sim.borrow();
+        let response_us = sim.metrics().response_us;
+        observe_execution(catalog, fingerprint, executed, response_us, before, &sim);
     }
 
     match reply.answer {
         Ok(answer) => Ok(ClientAnswer {
-            executed,
+            executed: executed.to_string(),
             rows: render_answer(&answer),
             degraded_sites: reply
                 .degraded_sites

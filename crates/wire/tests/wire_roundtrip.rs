@@ -15,11 +15,12 @@
 use fedoq_core::handlers::{
     CheckRequest, CheckVerdict, LocalRow, LocalizedConfig, TargetRequest, UnsolvedEntry,
 };
-use fedoq_core::{ExecError, MaybeRow, Provenance, QueryAnswer, ResultRow};
+use fedoq_core::{
+    ExecError, ExecPlan, LocalizedMode, MaybeRow, ModePolicy, Provenance, QueryAnswer, ResultRow,
+};
 use fedoq_net::msg::{
     CertifyReply, Envelope, LocalEvalReply, LookupReply, Payload, Request, Response, ShipReply,
 };
-use fedoq_net::DistributedStrategy;
 use fedoq_object::{DbId, GOid, LOid, Truth, Value};
 use fedoq_query::PredId;
 use fedoq_sim::{Phase, Site};
@@ -80,15 +81,21 @@ fn arb_value(depth: u32) -> BoxedStrategy<Value> {
     }
 }
 
-fn arb_strategy() -> impl Strategy<Value = DistributedStrategy> {
+/// Every [`ExecPlan`] shape: CA, BL and PL under either config, and
+/// hybrids over arbitrary (possibly empty, unsorted) site lists.
+fn arb_plan() -> impl Strategy<Value = ExecPlan> {
     let cfg = (any::<bool>(), any::<bool>()).prop_map(|(s, t)| LocalizedConfig {
         use_signatures: s,
         complete_targets: t,
     });
+    let policy = prop_oneof![
+        Just(ModePolicy::Uniform(LocalizedMode::Basic)),
+        Just(ModePolicy::Uniform(LocalizedMode::Parallel)),
+        vec(arb_db(), 0..4).prop_map(ModePolicy::ParallelAt),
+    ];
     prop_oneof![
-        Just(DistributedStrategy::Centralized),
-        cfg.clone().prop_map(DistributedStrategy::BasicLocalized),
-        cfg.prop_map(DistributedStrategy::ParallelLocalized),
+        Just(ExecPlan::Centralized),
+        (policy, cfg).prop_map(|(policy, config)| ExecPlan::Localized { policy, config }),
     ]
 }
 
@@ -209,7 +216,7 @@ fn arb_lookup_reply() -> impl Strategy<Value = LookupReply> {
 
 fn arb_request() -> BoxedStrategy<Request> {
     prop_oneof![
-        arb_strategy().prop_map(|strategy| Request::Certify { strategy }),
+        arb_plan().prop_map(|plan| Request::Certify { plan }),
         (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
             |(parallel, use_signatures, complete_targets)| Request::LocalEval {
                 parallel,
@@ -228,7 +235,6 @@ fn arb_request() -> BoxedStrategy<Request> {
             vec(arb_target_request(), 0..4)
         )
             .prop_map(|(checks, targets)| Request::BatchAssistantLookup { checks, targets }),
-        vec(arb_strategy(), 0..3).prop_map(|strategies| Request::BatchCertify { strategies }),
     ]
     .boxed()
 }
@@ -259,7 +265,6 @@ fn arb_response() -> BoxedStrategy<Response> {
         arb_lookup_reply().prop_map(Response::AssistantLookup),
         any::<u64>().prop_map(|bytes| Response::ShipObjects(ShipReply { bytes })),
         arb_lookup_reply().prop_map(Response::BatchAssistantLookup),
-        vec(arb_certify_reply(), 0..3).prop_map(Response::BatchCertify),
     ]
     .boxed()
 }

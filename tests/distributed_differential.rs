@@ -3,10 +3,13 @@
 //! faults — every distributed strategy must classify entities exactly
 //! like its in-process twin (same certain set, same maybe set with the
 //! same unsolved conjuncts), with no degraded rows and no lost sites.
+//! Hybrid plans — PL's schedule at every subset of the hosting sites,
+//! BL's elsewhere — must render byte-identically in both drivers.
 
-use fedoq_core::{run_strategy, Federation};
+use fedoq_core::{run_strategy, ExecPlan, Federation, LocalizedConfig, ModePolicy, QueryAnswer};
 use fedoq_net::{DistributedExecutor, DistributedStrategy, SimTransport, Transport};
-use fedoq_query::{bind, BoundQuery};
+use fedoq_object::DbId;
+use fedoq_query::{bind, plan_for_db, BoundQuery};
 use fedoq_sim::{Simulation, SystemParams};
 use fedoq_workload::{generate, university, WorkloadParams};
 use rand::rngs::StdRng;
@@ -24,8 +27,64 @@ fn strategies() -> Vec<DistributedStrategy> {
     ]
 }
 
-/// Asserts that `strategy` over both transports matches its sync twin.
+/// One line per row — certain rows, then maybe rows with their unsolved
+/// conjuncts and degraded marker — in the answer's canonical order.
+fn render(answer: &QueryAnswer) -> Vec<String> {
+    let certain = answer.certain().iter().map(|row| format!("C {row}"));
+    let maybe = answer.maybe().iter().map(|row| format!("M {row}"));
+    certain.chain(maybe).collect()
+}
+
+/// Every per-site hybrid over `query`'s hosting sites: one plan per
+/// subset running PL's schedule (the empty subset is all-BL, the full
+/// one all-PL).
+fn hybrid_plans(fed: &Federation, query: &BoundQuery) -> Vec<ExecPlan> {
+    let hosting: Vec<DbId> = fed
+        .dbs()
+        .iter()
+        .filter_map(|db| plan_for_db(query, fed.global_schema(), db.id()).map(|p| p.db()))
+        .collect();
+    (0..1u32 << hosting.len())
+        .map(|mask| {
+            let parallel = hosting
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &db)| db)
+                .collect();
+            ExecPlan::Localized {
+                policy: ModePolicy::ParallelAt(parallel),
+                config: LocalizedConfig::default(),
+            }
+        })
+        .collect()
+}
+
+/// Asserts that every hybrid plan's distributed answer over the
+/// in-process transport renders exactly like the sync execution's.
+fn check_hybrids_match_sync(fed: &Federation, query: &BoundQuery, label: &str) {
+    let plans = hybrid_plans(fed, query);
+    assert!(plans.len() >= 2, "{label}: no hosting site");
+    for plan in plans {
+        let (sync_answer, _) =
+            run_strategy(&plan, fed, query, SystemParams::paper_default()).unwrap();
+        let local = DistributedExecutor::new()
+            .run_local(fed, query, plan.clone())
+            .unwrap();
+        assert_eq!(
+            render(&sync_answer),
+            render(&local.answer),
+            "{label}: {plan:?} over LocalTransport renders differently from sync",
+        );
+        assert!(local.degraded_sites.is_empty());
+        assert_eq!(local.dropped, 0);
+    }
+}
+
+/// Asserts that `strategy` over both transports matches its sync twin,
+/// and that every hybrid plan renders like its sync twin.
 fn check_matches_sync(fed: &Federation, query: &BoundQuery, label: &str) {
+    check_hybrids_match_sync(fed, query, label);
     for strategy in strategies() {
         let (sync_answer, _) = run_strategy(
             strategy.sync().as_ref(),
